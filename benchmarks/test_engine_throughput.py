@@ -1,4 +1,4 @@
-"""Event-kernel throughput: heap vs calendar queue, plus hybrid-cell gain.
+"""Event-kernel throughput, plus hybrid-cell gain.
 
 Two workloads drive the raw kernel (no protocol code, just scheduling):
 
@@ -6,9 +6,8 @@ Two workloads drive the raw kernel (no protocol code, just scheduling):
   ahead, the shape of line-rate packet serialization chains;
 * *timer-heavy* — each event also arms a far-future timer that is
   cancelled before it fires, the shape of per-packet retransmission /
-  ackNoTimeout timers.  This is the workload the calendar queue and the
-  eager tombstone compaction exist for, and the one the acceptance bar
-  is set on: the calendar queue must not lose to the heap.
+  ackNoTimeout timers: the workload eager tombstone compaction exists
+  for.
 
 A third measurement times one fig10-style sparse-loss FCT cell on the
 packet and hybrid backends — the end-to-end gain the kernel and the
@@ -68,14 +67,13 @@ def _timer_heavy(sim: Simulator, n_events: int) -> None:
     sim.run()
 
 
-def _rate(queue: str, workload, n_events: int) -> dict:
-    sim = Simulator(queue=queue)
+def _rate(workload, n_events: int) -> dict:
+    sim = Simulator()
     t0 = time.perf_counter()
     workload(sim, n_events)
     wall = time.perf_counter() - t0
     snap = sim.obs_snapshot()
     return {
-        "queue": queue,
         "workload": workload.__name__.strip("_"),
         "events": snap["events_processed"],
         "cancelled": snap["events_cancelled"],
@@ -86,11 +84,8 @@ def _rate(queue: str, workload, n_events: int) -> dict:
 
 def test_engine_throughput(benchmark):
     def _run():
-        rows = [
-            _rate(queue, workload, N_EVENTS)
-            for workload in (_streaming, _timer_heavy)
-            for queue in ("heap", "calendar")
-        ]
+        rows = [_rate(workload, N_EVENTS)
+                for workload in (_streaming, _timer_heavy)]
         t0 = time.perf_counter()
         run_cell(FIG10)
         t_packet = time.perf_counter() - t0
@@ -103,7 +98,7 @@ def test_engine_throughput(benchmark):
                                                   iterations=1)
 
     header(f"Event-kernel throughput — {N_EVENTS} events per workload")
-    table(rows, ["queue", "workload", "events", "cancelled",
+    table(rows, ["workload", "events", "cancelled",
                  "wall_s", "events_per_s"])
     hybrid_speedup = t_packet / t_hybrid
     emit(f"fig10 cell: packet {t_packet:.3f}s, hybrid {t_hybrid:.3f}s "
@@ -116,20 +111,9 @@ def test_engine_throughput(benchmark):
         "fig10_hybrid_speedup": hybrid_speedup,
     })
 
-    by = {(r["queue"], r["workload"]): r for r in rows}
-    # Identical dispatch work regardless of kernel.
-    for workload in ("streaming", "timer-heavy"):
-        w = workload.replace("-", "_")
-        assert (by[("heap", w)]["events"]
-                == by[("calendar", w)]["events"])
-    # The acceptance bar: on the timer-heavy workload the calendar
-    # queue must be at least on par with the heap (10% measurement
-    # slack — "on par or better", not "strictly faster on every run").
-    heap = by[("heap", "timer_heavy")]["events_per_s"]
-    calendar = by[("calendar", "timer_heavy")]["events_per_s"]
-    assert calendar >= 0.9 * heap, (
-        f"calendar queue {calendar:.0f} ev/s < 0.9x heap {heap:.0f} ev/s "
-        f"on the timer-heavy workload")
+    # Every workload dispatched its events.
+    for row in rows:
+        assert row["events"] > 0, row
     # The kernel+snapshot payoff: hybrid >= 3x packet on the
     # fig10-style sparse-loss cell (the issue's acceptance floor).
     assert hybrid_speedup >= 3.0, (

@@ -40,7 +40,6 @@ from ..linkguardian.protocol import ProtectedLink
 from ..obs import Observability
 from ..packets.packet import LG_HEADER_BYTES, Packet, PacketKind
 from ..phy.loss import GilbertElliottLoss, LossProcess
-from ..runner.harness import run_until_complete
 from ..switchsim.switch import Switch
 from ..units import MTU_FRAME, US, gbps, serialization_ns
 from .invariants import InvariantChecker, Violation
@@ -355,7 +354,7 @@ def run_scenario(
 
     Builds the standard two-switch testbed (sw2 → sw6 over the protected
     link), seeds both endpoints at ``config.seq_start``, injects
-    ``config.n_packets`` MTU frames at line rate, and steps the simulator
+    ``config.n_packets`` MTU frames at line rate, and runs the simulator
     until the protocol quiesces (or a watchdog deadline fires — which is
     itself evidence for the liveness checks in ``finalize``).
     """
@@ -410,8 +409,12 @@ def run_scenario(
         inject_span = config.n_packets * gap_ns
         settle_ns = inject_span + 3 * lg_config.ack_no_timeout_ns
         deadline_ns = settle_ns + 40 * lg_config.ack_no_timeout_ns + 500 * US
-        completed = run_until_complete(
-            sim, lambda: checker.quiescent(settle_ns), deadline_ns)
+
+        def is_done() -> bool:
+            return checker.quiescent(settle_ns)
+
+        sim.run(until=sim.now + deadline_ns, stop=is_done)
+        completed = is_done()
     finally:
         restore()
     violations = checker.finalize()

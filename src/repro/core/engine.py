@@ -5,25 +5,22 @@ nanosecond timestamps.  Integer time keeps event ordering exact (no float
 round-off when two packets are scheduled back-to-back at 100G) and makes
 experiments reproducible bit-for-bit given a seed.
 
-The pending-event set lives behind the :class:`EventQueue` interface.
-Two implementations ship:
+Pending events live in one ``heapq`` binary heap ordered by
+``(time, seq)``, ``seq`` being the insertion counter, so same-time
+events fire FIFO and dispatch order is a pure function of the schedule
+(relied on by every "same seed ⇒ same bytes" claim in the repo).
+Cancelled events stay in the heap as tombstones, skipped on the way out
+and swept eagerly once they outnumber the live entries.
 
-* :class:`HeapEventQueue` — the reference ``heapq`` priority queue;
-* :class:`CalendarEventQueue` — a calendar/bucket queue tuned for the
-  dominant scheduling pattern here (fixed-latency serialization and
-  timer delays, so events cluster into a narrow moving window of
-  timestamps).  Pushes into the bucket currently being drained are a
-  ``bisect`` insert; pushes into future buckets are plain appends with
-  one day-heap operation per *distinct* bucket, not per event.
-
-Both maintain the same total order — ``(time, seq)`` with ``seq`` the
-insertion counter — so dispatch order is bit-identical between them
-(guaranteed by tests, relied on by every "same seed ⇒ same bytes"
-claim in the repo).
+There is one drive loop, :meth:`Simulator.run`: it dispatches until the
+heap empties, the next event lies past ``until``, or a ``stop``
+predicate (checked before each dispatch) says so.  LinkGuardian's
+self-replenishing queues keep the heap non-empty forever, so
+experiments end on a stop predicate rather than on an empty heap.
 
 Typical usage::
 
-    sim = Simulator()                     # or Simulator(queue="calendar")
+    sim = Simulator()
     sim.schedule(1000, lambda: print("1 microsecond in"))
     sim.run(until=1_000_000)
 """
@@ -34,13 +31,9 @@ import heapq
 import itertools
 import sys
 import time
-from bisect import insort
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, List, Optional, Tuple
 
-__all__ = [
-    "Event", "EventQueue", "HeapEventQueue", "CalendarEventQueue",
-    "Simulator", "SimError",
-]
+__all__ = ["Event", "Simulator", "SimError"]
 
 
 class SimError(RuntimeError):
@@ -85,254 +78,8 @@ class Event:
         return f"Event(t={self.time}, {getattr(self.callback, '__name__', self.callback)}, {state})"
 
 
-class EventQueue:
-    """The pending-event set: a strict ``(time, seq)`` priority queue.
-
-    The contract every implementation must honor (and that
-    ``tests/test_engine.py`` locks in):
-
-    * ``pop()`` returns pending events in ascending ``(time, seq)``
-      order — same-time events fire FIFO in insertion order — skipping
-      (and discarding) cancelled entries;
-    * ``peek_time()`` returns the timestamp the next ``pop()`` would
-      dispatch, discarding cancelled entries it passes over, without
-      consuming a live event;
-    * events pushed *while draining* (zero-delay self-rescheduling)
-      take their place in the same total order;
-    * ``skipped_cancelled`` counts cancelled entries discarded by
-      ``pop``/``peek_time``; ``cancelled_pending`` is maintained by the
-      Simulator and must be decremented on every such skip;
-    * ``compact()`` removes all cancelled entries in one pass.
-
-    Implementations never inspect ``callback``/``args`` — ordering
-    depends only on ``(time, seq)``, which is what makes dispatch order
-    bit-identical across implementations.
-    """
-
-    #: registry name, reported in ``Simulator.obs_snapshot()``
-    name = "abstract"
-
-    def __init__(self) -> None:
-        #: cancelled entries still occupying the queue (Simulator policy
-        #: input for eager compaction)
-        self.cancelled_pending = 0
-
-    def push(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next live event, or None when empty."""
-        raise NotImplementedError
-
-    def peek_time(self) -> Optional[int]:
-        """Timestamp of the next live event, or None when empty."""
-        raise NotImplementedError
-
-    def compact(self) -> int:
-        """Drop every cancelled entry; returns how many were removed."""
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        """Entries currently held, cancelled ones included."""
-        raise NotImplementedError
-
-
-class HeapEventQueue(EventQueue):
-    """The reference implementation: a binary heap (``heapq``)."""
-
-    name = "heap"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._heap: List[Event] = []
-
-    def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, event)
-
-    def pop(self) -> Optional[Event]:
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)
-            if event.cancelled:
-                self.cancelled_pending -= 1
-                continue
-            return event
-        return None
-
-    def peek_time(self) -> Optional[int]:
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-            self.cancelled_pending -= 1
-        return heap[0].time if heap else None
-
-    def compact(self) -> int:
-        live = [e for e in self._heap if not e.cancelled]
-        removed = len(self._heap) - len(live)
-        heapq.heapify(live)
-        self._heap = live
-        self.cancelled_pending = 0
-        return removed
-
-    def clear(self) -> None:
-        self._heap.clear()
-        self.cancelled_pending = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
-class CalendarEventQueue(EventQueue):
-    """A calendar/bucket queue keyed on ``time // bucket_ns``.
-
-    Simulated traffic here schedules almost exclusively at a handful of
-    fixed latencies (serialization times, propagation, recirculation
-    loops, protocol timers), so pending timestamps cluster into a narrow
-    window that slides forward with the clock.  A calendar queue turns
-    that into O(1) appends: each *bucket* ("day") is an unsorted list
-    that is sorted once, when the clock reaches it; only the set of
-    non-empty days goes through a (much smaller) day-heap.
-
-    Pushes into the day currently being drained keep exact order via a
-    ``bisect`` insert after the drain cursor — which is what makes
-    zero-delay self-rescheduling and same-time FIFO behave identically
-    to the reference heap.
-    """
-
-    name = "calendar"
-
-    def __init__(self, bucket_ns: int = 4096) -> None:
-        super().__init__()
-        if bucket_ns <= 0:
-            raise ValueError(f"bucket_ns must be positive, got {bucket_ns}")
-        self._bucket_ns = int(bucket_ns)
-        self._days: Dict[int, List[Event]] = {}   # future days, unsorted
-        self._day_heap: List[int] = []            # non-empty future days
-        self._cur_day = -1
-        self._cur: List[Event] = []               # opened day, sorted
-        self._cur_idx = 0                         # drain cursor into _cur
-        self._len = 0
-
-    def push(self, event: Event) -> None:
-        day = event.time // self._bucket_ns
-        self._len += 1
-        if day == self._cur_day:
-            # Into the day being drained: keep (time, seq) order.  New
-            # events sort at/after the cursor (time >= now), so the
-            # search range starts there.
-            insort(self._cur, event, lo=self._cur_idx)
-            return
-        if day < self._cur_day and self._cur_idx < len(self._cur):
-            # An event before the opened day (possible when peek_time()
-            # opened a day ahead of the idle clock): put the remainder
-            # of the opened day back so pop() re-selects the minimum.
-            self._days[self._cur_day] = self._cur[self._cur_idx:]
-            heapq.heappush(self._day_heap, self._cur_day)
-            self._cur_day = -1
-            self._cur = []
-            self._cur_idx = 0
-        bucket = self._days.get(day)
-        if bucket is None:
-            self._days[day] = [event]
-            heapq.heappush(self._day_heap, day)
-        else:
-            bucket.append(event)
-
-    def _open_next_day(self) -> bool:
-        """Sort and install the earliest non-empty future day."""
-        while self._day_heap:
-            day = heapq.heappop(self._day_heap)
-            bucket = self._days.pop(day, None)
-            if bucket is None:
-                continue  # stale heap entry from a re-stash
-            bucket.sort()
-            self._cur_day = day
-            self._cur = bucket
-            self._cur_idx = 0
-            return True
-        self._cur_day = -1
-        self._cur = []
-        self._cur_idx = 0
-        return False
-
-    def pop(self) -> Optional[Event]:
-        while True:
-            if self._cur_idx >= len(self._cur):
-                if not self._open_next_day():
-                    return None
-            event = self._cur[self._cur_idx]
-            self._cur_idx += 1
-            self._len -= 1
-            if self._cur_idx >= len(self._cur):
-                self._cur = []
-                self._cur_idx = 0
-                # _cur_day stays: same-day pushes may still arrive
-            if event.cancelled:
-                self.cancelled_pending -= 1
-                continue
-            return event
-
-    def peek_time(self) -> Optional[int]:
-        while True:
-            if self._cur_idx >= len(self._cur):
-                if not self._open_next_day():
-                    return None
-            event = self._cur[self._cur_idx]
-            if event.cancelled:
-                self._cur_idx += 1
-                self._len -= 1
-                self.cancelled_pending -= 1
-                continue
-            return event.time
-
-    def compact(self) -> int:
-        removed = 0
-        live = [e for e in self._cur[self._cur_idx:] if not e.cancelled]
-        removed += len(self._cur) - self._cur_idx - len(live)
-        self._cur = live
-        self._cur_idx = 0
-        for day in list(self._days):
-            bucket = [e for e in self._days[day] if not e.cancelled]
-            removed += len(self._days[day]) - len(bucket)
-            if bucket:
-                self._days[day] = bucket
-            else:
-                del self._days[day]  # the day-heap entry goes stale
-        self._len -= removed
-        self.cancelled_pending = 0
-        return removed
-
-    def clear(self) -> None:
-        self._days.clear()
-        self._day_heap.clear()
-        self._cur_day = -1
-        self._cur = []
-        self._cur_idx = 0
-        self._len = 0
-        self.cancelled_pending = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-
-#: selectable queue implementations for ``Simulator(queue=...)``
-EVENT_QUEUES: Dict[str, type] = {
-    HeapEventQueue.name: HeapEventQueue,
-    CalendarEventQueue.name: CalendarEventQueue,
-}
-
-
 class Simulator:
-    """Single-threaded discrete-event simulator with integer-ns time.
-
-    ``queue`` selects the pending-event structure: an implementation
-    name (``"heap"`` — the default — or ``"calendar"``) or an
-    :class:`EventQueue` instance.  Dispatch order is identical across
-    implementations; the choice is purely a throughput knob.
-    """
+    """Single-threaded discrete-event simulator with integer-ns time."""
 
     #: cap on recycled Event objects kept for reuse
     POOL_CAP = 512
@@ -340,16 +87,11 @@ class Simulator:
     #: lazy pop-side skipping rather than compacted eagerly
     COMPACT_MIN = 64
 
-    def __init__(self, obs=None, queue: Union[str, EventQueue] = "heap") -> None:
-        if isinstance(queue, str):
-            try:
-                queue = EVENT_QUEUES[queue]()
-            except KeyError:
-                raise SimError(
-                    f"unknown event queue {queue!r}; "
-                    f"known: {sorted(EVENT_QUEUES)}") from None
+    def __init__(self, obs=None) -> None:
         self._now: int = 0
-        self._queue: EventQueue = queue
+        self._heap: List[Event] = []
+        #: cancelled entries still occupying the heap
+        self._cancelled_pending = 0
         self._seq = itertools.count()
         self._running = False
         self._events_processed = 0
@@ -371,11 +113,6 @@ class Simulator:
     def now(self) -> int:
         """Current simulation time in nanoseconds."""
         return self._now
-
-    @property
-    def queue(self) -> EventQueue:
-        """The pending-event structure (for introspection/tests)."""
-        return self._queue
 
     @property
     def events_processed(self) -> int:
@@ -405,8 +142,7 @@ class Simulator:
             "events_cancelled": self._events_cancelled,
             "events_compacted": self._events_compacted,
             "heap_high_watermark": self._heap_high_watermark,
-            "heap_pending": len(self._queue),
-            "queue_impl": self._queue.name,
+            "heap_pending": len(self._heap),
             "event_pool_size": len(self._pool),
             "sim_time_ns": self._now,
             "wall_seconds": self._wall_seconds,
@@ -423,15 +159,18 @@ class Simulator:
 
     def _note_cancel(self) -> None:
         self._events_cancelled += 1
-        queue = self._queue
-        queue.cancelled_pending += 1
+        self._cancelled_pending += 1
+        heap = self._heap
         # Eager compaction: cancelled entries would otherwise linger
         # until the pop path reaches their timestamps — on timer-heavy
         # workloads (every ACK re-arms RTO/TLP/RACK) that is most of the
-        # queue.  Compact when they exceed half the pending set.
-        if (queue.cancelled_pending * 2 > len(queue)
-                and len(queue) >= self.COMPACT_MIN):
-            self._events_compacted += queue.compact()
+        # heap.  Compact when they exceed half the pending set.
+        if self._cancelled_pending * 2 > len(heap) >= self.COMPACT_MIN:
+            live = [e for e in heap if not e.cancelled]
+            self._events_compacted += len(heap) - len(live)
+            heapq.heapify(live)
+            self._heap = live
+            self._cancelled_pending = 0
 
     # -- scheduling -----------------------------------------------------------
 
@@ -456,9 +195,10 @@ class Simulator:
         else:
             event = Event(time, next(self._seq), callback, args)
         event.owner = self
-        self._queue.push(event)
-        if len(self._queue) > self._heap_high_watermark:
-            self._heap_high_watermark = len(self._queue)
+        heap = self._heap
+        heapq.heappush(heap, event)
+        if len(heap) > self._heap_high_watermark:
+            self._heap_high_watermark = len(heap)
         return event
 
     def _recycle(self, event: Event) -> None:
@@ -475,30 +215,42 @@ class Simulator:
     # -- dispatch -------------------------------------------------------------
 
     def peek(self) -> Optional[int]:
-        """Time of the next pending event, or ``None`` if the queue is empty."""
-        return self._queue.peek_time()
+        """Time of the next pending event, or ``None`` if nothing is pending."""
+        heap = self._heap
+        while heap and heap[0].cancelled:
+            heapq.heappop(heap)
+            self._cancelled_pending -= 1
+        return heap[0].time if heap else None
 
     def step(self) -> bool:
         """Dispatch the next event.  Returns False when nothing is pending."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        event.owner = None
-        self._now = event.time
-        self._events_processed += 1
-        callback, args = event.callback, event.args
-        self._recycle(event)
-        del event
-        callback(*args)
-        return True
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)
+            if event.cancelled:
+                self._cancelled_pending -= 1
+                continue
+            event.owner = None
+            self._now = event.time
+            self._events_processed += 1
+            callback, args = event.callback, event.args
+            self._recycle(event)
+            del event
+            callback(*args)
+            return True
+        return False
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
+    def run(self, until: Optional[int] = None,
+            stop: Optional[Callable[[], bool]] = None) -> int:
         """Run the event loop.
 
         Args:
-            until: stop once simulation time would exceed this (ns); the
-                clock is advanced to ``until`` on return.
-            max_events: hard cap on dispatched events (runaway guard).
+            until: dispatch no event later than this (ns); the clock is
+                advanced to ``until`` on return unless ``stop`` ended
+                the run.
+            stop: checked before each dispatch; the run ends, with the
+                clock left at the last dispatched event, once it
+                returns True.
 
         Returns:
             The simulation time when the loop stopped.
@@ -506,23 +258,21 @@ class Simulator:
         if self._running:
             raise SimError("run() is not reentrant")
         self._running = True
-        dispatched = 0
+        stopped = False
         wall_start = time.perf_counter()
         try:
             while True:
+                if stop is not None and stop():
+                    stopped = True
+                    break
                 next_time = self.peek()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                if max_events is not None and dispatched >= max_events:
+                if next_time is None or (until is not None and next_time > until):
                     break
                 self.step()
-                dispatched += 1
         finally:
             self._running = False
             self._wall_seconds += time.perf_counter() - wall_start
-        if until is not None and self._now < until:
+        if until is not None and not stopped and self._now < until:
             self._now = int(until)
         return self._now
 
@@ -544,7 +294,8 @@ class Simulator:
         clock is left where it is) — a reused simulator reports stats
         for its current run, not its lifetime.  Pooled events are
         dropped too, so the pool cannot carry handles across runs."""
-        self._queue.clear()
+        self._heap.clear()
+        self._cancelled_pending = 0
         self._pool.clear()
         self._events_processed = 0
         self._events_cancelled = 0

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..runner.harness import run_until_complete
 from ..transport.congestion import CubicCC
 from ..transport.tcp import TcpReceiver, TcpSender
 from ..units import MS, SEC
@@ -36,6 +35,7 @@ def run_goodput(
     seed: int = 3,
     deadline_ms: float = 2_000.0,
     mean_burst: float = 1.0,
+    obs=None,
 ) -> Dict[str, float]:
     """One Table 3 cell: returns goodput plus diagnostics."""
     if scheme not in GOODPUT_SCHEMES:
@@ -57,6 +57,7 @@ def run_goodput(
         lg_active=lg_active,
         seed=seed,
         mean_burst=mean_burst,
+        obs=obs,
     )
     src = testbed.add_host("h4", "tx", rate_bps=int(testbed.plink.rate_bps * 2))
     dst = testbed.add_host("h8", "rx")
@@ -67,7 +68,8 @@ def run_goodput(
     )
     TcpReceiver(testbed.sim, dst, "h4", 1)
     testbed.sim.schedule(0, sender.start)
-    run_until_complete(testbed.sim, lambda: bool(done), int(deadline_ms * MS))
+    sim = testbed.sim
+    sim.run(until=sim.now + int(deadline_ms * MS), stop=lambda: bool(done))
 
     acked = sender.snd_una
     elapsed = max(1, testbed.sim.now - (sender.flow.start_ns or 0))

@@ -61,6 +61,7 @@ def build_chain(
     ordered: bool = True,
     lg_active: bool = True,
     seed: int = 1,
+    obs=None,
 ) -> Chain:
     """A linear chain h_src - sw0 - sw1 - ... - h_dst.
 
@@ -69,7 +70,7 @@ def build_chain(
     """
     if n_switches < 2:
         raise ValueError("a chain needs at least two switches")
-    sim = Simulator()
+    sim = Simulator(obs=obs)
     rng = RngFactory(seed)
     switches = [Switch(sim, f"sw{i}") for i in range(n_switches)]
     links: List[ProtectedLink] = []
@@ -112,6 +113,7 @@ def run_multihop_fct(
     lg_active: bool = True,
     ordered: bool = True,
     seed: int = 1,
+    obs=None,
 ) -> Dict[str, float]:
     """FCT percentiles for flows crossing ``n_corrupting`` corrupting hops."""
     chain = build_chain(
@@ -121,6 +123,7 @@ def run_multihop_fct(
         lg_active=lg_active,
         ordered=ordered,
         seed=seed,
+        obs=obs,
     )
     sim = chain.sim
 

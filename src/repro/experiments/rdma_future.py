@@ -42,6 +42,7 @@ def run_rdma_case(
     loss_rate: float = 5e-3,
     rate_gbps: float = 100,
     seed: int = 1,
+    obs=None,
 ) -> dict:
     """FCT percentiles for one responder/ordering combination."""
     if case not in RDMA_CASES:
@@ -49,7 +50,7 @@ def run_rdma_case(
     ordered, selective_repeat = RDMA_CASES[case]
     testbed = build_testbed(
         rate_gbps=rate_gbps, loss_rate=loss_rate, ordered=ordered,
-        lg_active=True, seed=seed,
+        lg_active=True, seed=seed, obs=obs,
     )
     src = testbed.add_host("h4", "tx", stack_delay_ns=1_000)
     dst = testbed.add_host("h8", "rx", stack_delay_ns=1_000)

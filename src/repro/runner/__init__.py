@@ -22,13 +22,13 @@ Typical usage::
 """
 
 from .cells import experiment_kinds, register, run_cell
-from .harness import CellResult, TrialHarness, run_until_complete
+from .harness import CellResult, TrialHarness
 from .spec import ExperimentSpec, SweepSpec
 from .sweep import SweepRunner, load_checkpoint
 
 __all__ = [
     "ExperimentSpec", "SweepSpec",
-    "CellResult", "TrialHarness", "run_until_complete",
+    "CellResult", "TrialHarness",
     "register", "run_cell", "experiment_kinds",
     "SweepRunner", "load_checkpoint",
 ]

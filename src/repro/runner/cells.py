@@ -120,9 +120,8 @@ def _attach_diagnostics(result: CellResult, ctx: RunContext) -> None:
     if ctx.obs is not None:
         engine = ctx.obs.registry.snapshot().get("engine")
         if isinstance(engine, dict):
-            # Wall-clock the kernel spent inside run() — the engine hot
-            # loop (TrialHarness-driven experiments step() instead, so
-            # their hot loop is the "run" phase).
+            # Wall-clock the kernel spent inside run(), the one drive
+            # loop every experiment (TrialHarness included) goes through.
             timings["engine_run_s"] = round(engine.get("wall_seconds", 0.0), 6)
         if ctx.obs.timeline is not None:
             ctx.obs.timeline.stop()
@@ -188,6 +187,7 @@ def _run_goodput(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
         loss_rate=spec.loss_rate,
         rate_gbps=spec.rate_gbps,
         seed=spec.seed,
+        obs=ctx.obs,
         **spec.params,
     )
     return _result(spec, row)
@@ -205,6 +205,7 @@ def _run_multihop(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
         lg_active=spec.scenario != "loss",
         ordered=spec.scenario != "lgnb",
         seed=spec.seed,
+        obs=ctx.obs,
         **spec.params,
     )
     return _result(spec, row)
@@ -288,6 +289,7 @@ def _run_rdma_reorder(spec: ExperimentSpec, ctx: RunContext) -> CellResult:
         loss_rate=spec.loss_rate,
         rate_gbps=spec.rate_gbps,
         seed=spec.seed,
+        obs=ctx.obs,
     )
     return _result(spec, row)
 

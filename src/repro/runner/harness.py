@@ -2,8 +2,8 @@
 
 Every back-to-back-trials experiment (FCT, multihop, RDMA reordering)
 used to hand-roll the same launch → watchdog → deadline → collect loop;
-:class:`TrialHarness` owns it once.  Single-flow experiments (goodput)
-share :func:`run_until_complete` for the watchdog-bounded drive loop.
+:class:`TrialHarness` owns it once, and drives the simulator through
+``Simulator.run`` with a stop predicate like every other experiment.
 
 :class:`CellResult` is the unified schema every experiment cell emits:
 scalar ``metrics`` for tables, larger ``series`` for distributions, the
@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["CellResult", "TrialHarness", "run_until_complete"]
+__all__ = ["CellResult", "TrialHarness"]
 
 #: A trial launcher: given the trial index and the completion callback, set
 #: up the flow and return ``(start, abort)``.  ``start`` begins the trial
@@ -134,8 +134,9 @@ class TrialHarness:
     The loop: launch trial *i*; when it completes (or its deadline
     watchdog fires), wait ``inter_trial_gap_ns`` and launch trial *i+1*;
     stop after the last trial or at ``safety_ns`` (a wedged-experiment
-    guard — LinkGuardian's self-replenishing queues keep the event heap
-    non-empty forever, so a plain run-to-empty would never return).
+    guard: no event later than it is dispatched — LinkGuardian's
+    self-replenishing queues keep the event heap non-empty forever, so a
+    plain run-to-empty would never return).
     """
 
     def __init__(
@@ -190,26 +191,5 @@ class TrialHarness:
         """Drive the simulator until the last trial finishes; return the
         completion records in trial order."""
         self.sim.schedule(0, self._launch, 0)
-        while not self._done and self.sim.peek() is not None:
-            if self.safety_ns is not None and self.sim.now > self.safety_ns:
-                break
-            self.sim.step()
+        self.sim.run(until=self.safety_ns, stop=lambda: self._done)
         return self.records
-
-
-def run_until_complete(sim, is_done: Callable[[], bool], deadline_ns: int) -> bool:
-    """Step ``sim`` until ``is_done()`` or the deadline; True if done.
-
-    The single-flow counterpart of :class:`TrialHarness`: goodput-style
-    experiments run one long transfer under a watchdog.
-    """
-    state = {"stop": False}
-
-    def watchdog() -> None:
-        state["stop"] = True
-
-    guard = sim.schedule(int(deadline_ns), watchdog)
-    while not is_done() and not state["stop"] and sim.peek() is not None:
-        sim.step()
-    guard.cancel()
-    return is_done()

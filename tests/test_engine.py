@@ -1,28 +1,35 @@
-"""Unit tests for the discrete-event kernel.
-
-Every ordering-contract test runs against both :class:`EventQueue`
-implementations — the reference heap and the calendar queue — because
-the repo's "same seed ⇒ same bytes" claims assume dispatch order is a
-property of the kernel contract, not of the queue structure behind it.
-"""
-
-import random
+"""Unit tests for the discrete-event kernel: ``(time, seq)`` dispatch
+order, tombstone cancellation and compaction, and the one drive loop
+``Simulator.run(until, stop)``."""
 
 import pytest
 
-from repro.core.engine import (
-    CalendarEventQueue,
-    HeapEventQueue,
-    SimError,
-    Simulator,
-)
-
-QUEUES = ["heap", "calendar"]
+from repro.core.engine import SimError, Simulator
+from repro.runner.harness import TrialHarness
 
 
-@pytest.fixture(params=QUEUES)
+def _reused_simulator():
+    # A simulator that has already run (pooled events, a tombstone,
+    # pending work) and was then clear()ed, clock still at 0: a reused
+    # kernel must honour exactly the contract a fresh one does.
+    sim = Simulator()
+    for _ in range(8):
+        sim.schedule(0, lambda: None)
+    sim.schedule(0, lambda: None).cancel()
+    sim.schedule(1_000, lambda: None)
+    sim.run(until=0)
+    sim.clear()
+    assert sim.now == 0 and sim.peek() is None
+    return sim
+
+
+# The ids keep the names of the two queue implementations this fixture
+# used to select, so test ids stay comparable across the kernel's
+# history; both now run the one heap kernel, fresh ("heap") or reused
+# after clear() ("calendar").
+@pytest.fixture(params=[Simulator, _reused_simulator], ids=["heap", "calendar"])
 def sim(request):
-    return Simulator(queue=request.param)
+    return request.param()
 
 
 def test_events_fire_in_time_order(sim):
@@ -41,17 +48,6 @@ def test_same_time_events_fire_fifo(sim):
         sim.schedule(100, order.append, tag)
     sim.run()
     assert order == [0, 1, 2, 3, 4]
-
-
-def test_same_time_fifo_across_bucket_boundaries():
-    # Ties on a calendar bucket boundary must still break on insertion
-    # order, exactly as in the heap.
-    sim = Simulator(queue=CalendarEventQueue(bucket_ns=64))
-    order = []
-    for tag in range(8):
-        sim.schedule(64, order.append, tag)   # first tick of bucket 1
-    sim.run()
-    assert order == list(range(8))
 
 
 def test_run_until_advances_clock_even_when_idle(sim):
@@ -73,8 +69,7 @@ def test_run_until_does_not_fire_later_events(sim):
 def test_schedule_after_idle_run_until_stays_ordered(sim):
     # run(until=) advances the clock without dispatching; scheduling
     # afterwards (earlier than already-pending events) must still
-    # dispatch in time order.  This is the peek-opens-ahead case the
-    # calendar queue has to re-stash for.
+    # dispatch in time order.
     fired = []
     sim.schedule(500_000, fired.append, "far")
     sim.run(until=10)
@@ -156,12 +151,105 @@ def test_scheduling_in_the_past_raises(sim):
 
 
 def test_max_events_guard(sim):
+    # an event budget enforced through the stop predicate
     def forever():
         sim.schedule(1, forever)
 
     sim.schedule(0, forever)
-    sim.run(max_events=50)
+    sim.run(stop=lambda: sim.events_processed >= 50)
     assert sim.events_processed == 50
+
+
+def test_stop_is_checked_before_each_dispatch(sim):
+    seen = []
+
+    def stop():
+        seen.append(sim.events_processed)
+        return False
+
+    for i in range(5):
+        sim.schedule(i, lambda: None)
+    sim.run(stop=stop)
+    # once before every dispatch, then once more before finding the
+    # heap empty
+    assert seen == [0, 1, 2, 3, 4, 5]
+
+
+def test_stop_leaves_clock_at_last_dispatched_event(sim):
+    fired = []
+    sim.schedule(100, fired.append, 1)
+    sim.schedule(300, fired.append, 2)
+    # a stop before the first dispatch leaves the clock at 0, not `until`
+    assert sim.run(until=10_000, stop=lambda: True) == 0
+    now = sim.run(until=10_000, stop=lambda: bool(fired))
+    assert fired == [1]
+    assert now == sim.now == 100
+    assert sim.peek() == 300
+
+
+def test_until_advances_idle_clock_when_stop_never_fires(sim):
+    sim.schedule(100, lambda: None)
+    assert sim.run(until=5_000, stop=lambda: False) == 5_000
+    assert sim.events_processed == 1
+
+
+def test_run_accrues_wall_seconds(sim):
+    for i in range(200):
+        sim.schedule(i, lambda: None)
+    sim.run(stop=lambda: False)
+    assert sim.wall_seconds > 0.0
+    assert sim.obs_snapshot()["events_per_wall_second"] > 0.0
+
+
+def test_run_is_not_reentrant(sim):
+    errors = []
+
+    def nested():
+        try:
+            sim.run()
+        except SimError as exc:
+            errors.append(exc)
+
+    sim.schedule(1, nested)
+    sim.run()
+    assert len(errors) == 1
+
+
+def test_trial_harness_dispatches_nothing_past_safety_horizon(sim):
+    # A wedged trial (its flow never completes) with a self-replenishing
+    # event source, the shape of LinkGuardian's dummy queue: the safety
+    # horizon ends the run, and no event later than it is dispatched.
+    times = []
+
+    def tick():
+        times.append(sim.now)
+        sim.schedule(7, tick)
+
+    def launch(trial, finished):
+        return (lambda: sim.schedule(0, tick)), None
+
+    harness = TrialHarness(sim, 3, launch, safety_ns=1_000)
+    assert harness.run() == []
+    assert max(times) <= 1_000 < max(times) + 7
+    assert sim.now == 1_000
+
+
+def test_trial_harness_stops_after_last_trial(sim):
+    # Each trial finishes 50 ns after it starts; the run ends right after
+    # the last one even though an endless ticker keeps the heap non-empty.
+    def tick():
+        sim.schedule(1_000, tick)
+
+    def launch(trial, finished):
+        return (lambda: sim.schedule(50, finished, trial)), None
+
+    sim.schedule(0, tick)
+    harness = TrialHarness(sim, 3, launch, inter_trial_gap_ns=10)
+    assert harness.run() == [0, 1, 2]
+    # trial k launches at 60*k and finishes 50 ns later; the would-be
+    # fourth launch (at 180) ends the run
+    assert sim.now == 180
+    assert sim.wall_seconds > 0.0
 
 
 def test_peek_skips_cancelled(sim):
@@ -175,64 +263,28 @@ def test_step_returns_false_when_empty(sim):
     assert sim.step() is False
 
 
-def test_unknown_queue_name_raises():
-    with pytest.raises(SimError):
-        Simulator(queue="fibonacci")
-
-
-@pytest.mark.parametrize("impl", QUEUES)
-def test_dispatch_order_bit_identical_to_reference(impl):
-    # The cross-implementation contract: a randomized workload of
-    # schedules, chained reschedules and cancellations dispatches in
-    # exactly the same order on every queue implementation.
-    def trace(queue_name):
-        rng = random.Random(1234)
-        sim = Simulator(queue=queue_name)
-        order = []
-        handles = []
-
-        def fire(tag):
-            order.append((sim.now, tag))
-            if rng.random() < 0.4:
-                handles.append(sim.schedule(rng.randrange(0, 3000), fire,
-                                            tag + 1000))
-            if handles and rng.random() < 0.3:
-                handles.pop(rng.randrange(len(handles))).cancel()
-
-        for tag in range(200):
-            handles.append(sim.schedule(rng.randrange(0, 20_000), fire, tag))
-        sim.run()
-        return order
-
-    assert trace(impl) == trace("heap")
-
-
-@pytest.mark.parametrize("impl", QUEUES)
-def test_eager_compaction_keeps_queue_small(impl):
-    # Satellite: cancelled events must not linger until the pop path
-    # reaches their timestamps once they exceed half the pending set.
-    sim = Simulator(queue=impl)
+def test_eager_compaction_keeps_queue_small(sim):
+    # Cancelled events must not linger until the pop path reaches their
+    # timestamps once they exceed half the pending set.
     events = [sim.schedule(1_000_000 + i, lambda: None) for i in range(200)]
-    assert len(sim.queue) == 200
+    assert sim.obs_snapshot()["heap_pending"] == 200
     for event in events[:150]:
         event.cancel()
     assert sim.events_cancelled == 150
-    # Compaction triggered somewhere past the half-full mark: the queue
-    # now holds only live entries (+ at most the pre-trigger remainder).
-    assert len(sim.queue) < 200 - 100
-    assert sim.queue.cancelled_pending < 101
     snap = sim.obs_snapshot()
+    # Compaction triggered at the half-full mark (101 cancelled of 200):
+    # the heap then held only the 99 live entries, and the 49 later
+    # cancellations stay as tombstones below the next trigger.
+    assert snap["events_compacted"] == 101
+    assert snap["heap_pending"] == 99
     assert snap["events_cancelled"] == 150
-    assert snap["events_compacted"] > 0
     fired = sim.run()
     assert fired == 1_000_000 + 199
     assert sim.events_processed == 50
 
 
-@pytest.mark.parametrize("impl", QUEUES)
-def test_clear_resets_per_run_stats_and_pool(impl):
-    # Satellite: a reused simulator reports per-run stats.
-    sim = Simulator(queue=impl)
+def test_clear_resets_per_run_stats_and_pool(sim):
+    # A reused simulator reports per-run stats.
     for i in range(10):
         sim.schedule(i, lambda: None)
     sim.schedule(100, lambda: None).cancel()
@@ -244,7 +296,7 @@ def test_clear_resets_per_run_stats_and_pool(impl):
     assert sim.events_cancelled == 0
     assert sim.heap_high_watermark == 0
     assert sim.wall_seconds == 0.0
-    assert len(sim.queue) == 0
+    assert sim.obs_snapshot()["heap_pending"] == 0
     assert sim.obs_snapshot()["event_pool_size"] == 0
     sim.schedule(5, lambda: None)
     assert sim.heap_high_watermark == 1
@@ -287,13 +339,3 @@ def test_jump_to_advances_idle_clock(sim):
     with pytest.raises(SimError):
         sim.jump_to(5_000)  # would jump past a pending event
 
-
-@pytest.mark.parametrize("impl", QUEUES)
-def test_queue_instance_can_be_passed_directly(impl):
-    queue = {"heap": HeapEventQueue, "calendar": CalendarEventQueue}[impl]()
-    sim = Simulator(queue=queue)
-    assert sim.queue is queue
-    fired = []
-    sim.schedule(1, fired.append, 1)
-    sim.run()
-    assert fired == [1]
