@@ -1,33 +1,33 @@
-"""BlameMonitor: voting verdicts driving corruptd's onset/clear signals.
+"""BlameMonitor: 007 voting as an estimator for the shared detector.
 
 The monitor is the drop-in replacement for the port-counter path: where
 the service's :class:`~repro.service.arbiter.StreamingArbiter` folds
 counter snapshots into per-link :class:`LossWindow` estimates, the
-BlameMonitor folds **flow reports** into a sliding evidence window,
-re-runs the 007 vote at a fixed cadence, and drives the very same
-:meth:`FleetController.stream_onset` / :meth:`stream_clear` transitions
-— so the policy, capacity checks, budget accounting, and decision audit
-trail are byte-for-byte the machinery the oracle path uses.  The only
-difference an operator sees is the ``evidence`` label on each decision
-record: ``"voting"`` here, ``"port_counters"`` there.
+BlameMonitor folds **flow reports** into a sliding evidence window and
+re-runs the 007 vote at a fixed cadence.  Both feed the same
+:class:`~repro.fleet.driver.ControllerDriver` and its onset/clear
+detector, so the policy, capacity checks, budget accounting, and
+decision audit trail are byte-for-byte the machinery the oracle path
+uses; only the ``evidence`` label on each decision record differs
+(``"voting"`` here, ``"port_counters"`` there).
 
-Onset: a link enters the blamed set with an inverted loss estimate at
-or above ``onset_threshold``.  Clear: an open link leaves the blamed
-set, or its estimate falls below ``onset_threshold *
-clear_hysteresis`` — mirroring the arbiter's hysteresis, with the
-extra lag that flagged flows take up to ``window_s`` to age out of the
-evidence window after the link actually heals.
+Each vote hands the detector the open links first — their inverted
+loss estimate, or 0.0 once they leave the blamed set — then the rest
+of the blamed set in vote order.  A link clears when it leaves the
+blamed set or drops through the hysteresis band, with the extra lag
+that flagged flows take up to ``window_s`` to age out of the evidence
+window after the link actually heals.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..fleet.controller import ControllerConfig, FleetController
+from ..fleet.driver import ControllerDriver
 from ..fleet.policies import fleet_policy
-from ..fleet.topology import CorruptionEpisode, FleetSpec, FleetTopology
+from ..fleet.topology import FleetSpec, FleetTopology
 from ..obs.trace import NULL_TRACER
 from .evidence import FlowReport
 from .voting import BlameReport, tally_votes
@@ -37,10 +37,9 @@ __all__ = [
 ]
 
 
-class BlameMonitor:
+class BlameMonitor(ControllerDriver):
     """Drives a :class:`FleetController` from a live flow-report stream."""
 
-    #: evidence source stamped on every decision record
     evidence = "voting"
 
     def __init__(self, topology: FleetTopology, config: ControllerConfig,
@@ -49,14 +48,8 @@ class BlameMonitor:
                  eval_interval_s: Optional[float] = None,
                  flow_packets: int = 100,
                  min_votes: float = 2.0,
-                 onset_threshold: float = 1e-6,
-                 clear_hysteresis: float = 0.1,
-                 decision_log: int = 1024,
-                 mean_burst: float = 1.0,
-                 obs=None) -> None:
-        self.topology = topology
-        self.controller = FleetController(
-            topology, config, fleet_policy(policy), obs=obs)
+                 obs=None, **driver_kwargs) -> None:
+        super().__init__(topology, config, policy, obs=obs, **driver_kwargs)
         self.window_s = float(window_s)
         self.eval_interval_s = (float(eval_interval_s)
                                 if eval_interval_s is not None
@@ -65,23 +58,12 @@ class BlameMonitor:
             raise ValueError("window_s and eval_interval_s must be positive")
         self.flow_packets = int(flow_packets)
         self.min_votes = float(min_votes)
-        self.onset_threshold = float(onset_threshold)
-        self.clear_threshold = float(onset_threshold) * float(clear_hysteresis)
-        self.mean_burst = float(mean_burst)
         self._reports: Deque[FlowReport] = deque()
-        self._open: Dict[int, int] = {}     # link_id -> episode index
         self._estimates: Dict[int, float] = {}
         self._next_eval_s: Optional[float] = None
         self.last_verdict: Optional[BlameReport] = None
-        self.decisions: Deque[dict] = deque(maxlen=int(decision_log))
-        self._decision_cursor = 0
-        self.records_seen = 0
         self.flagged_seen = 0
-        self.rejected = 0
-        self.onsets = 0
-        self.clears = 0
         self.evaluations = 0
-        self.last_record_s = 0.0
         self._tracer = obs.tracer if obs is not None else NULL_TRACER
         self._counters = None
         if obs is not None:
@@ -94,10 +76,8 @@ class BlameMonitor:
 
     # -- state access ----------------------------------------------------------
 
-    def corrupting_links(self) -> List[Tuple[int, float]]:
-        return sorted(
-            (link_id, self._estimates.get(link_id, 0.0))
-            for link_id in self._open)
+    def loss_estimate(self, link_id: int) -> float:
+        return self._estimates.get(link_id, 0.0)
 
     def tracked_links(self) -> int:
         links = set()
@@ -154,89 +134,45 @@ class BlameMonitor:
             self._reports, flow_packets=self.flow_packets,
             min_votes=self.min_votes)
         self.last_verdict = verdict
-        blamed = set(verdict.blamed)
         self._estimates = {
             score.link_id: score.loss_estimate for score in verdict.ranked}
-        for link_id in verdict.blamed:
-            estimate = self._estimates.get(link_id, 0.0)
-            if link_id in self._open or estimate < self.onset_threshold:
-                continue
-            episode = CorruptionEpisode(
-                link_id=link_id, onset_s=now_s, clear_s=math.inf,
-                loss_rate=estimate, mean_burst=self.mean_burst)
-            self._open[link_id] = self.controller.stream_onset(episode)
-            self.onsets += 1
-            if self._counters is not None:
-                self._counters["onsets"].inc()
-            if self._tracer.enabled:
-                self._tracer.instant(int(now_s * 1e9), "blame", "onset", {
-                    "link": link_id, "loss_estimate": estimate,
-                    "votes": (verdict.score_for(link_id).votes
-                              if verdict.score_for(link_id) else 0.0),
-                })
-        for link_id in list(self._open):
-            estimate = self._estimates.get(link_id, 0.0)
-            if link_id in blamed and estimate >= self.clear_threshold:
-                continue
-            self.controller.stream_clear(self._open.pop(link_id), now_s)
-            self.clears += 1
-            if self._counters is not None:
-                self._counters["clears"].inc()
-            if self._tracer.enabled:
-                self._tracer.instant(int(now_s * 1e9), "blame", "clear", {
-                    "link": link_id, "loss_estimate": estimate,
-                })
+        blamed = {link_id: self.loss_estimate(link_id)
+                  for link_id in verdict.blamed}
+        self.detector.update(
+            now_s, {**dict.fromkeys(self.detector.open, 0.0), **blamed})
 
-    def _drain_decisions(self) -> List[dict]:
-        """New controller decisions since the last drain, as dicts."""
-        fresh = []
-        log = self.controller.outcome.decisions
-        while self._decision_cursor < len(log):
-            decision = log[self._decision_cursor]
-            self._decision_cursor += 1
-            record = {
-                "time_s": decision.time_s,
-                "link_id": decision.link_id,
-                "action": decision.action,
-                "loss_rate": decision.loss_rate,
-                "evidence": self.evidence,
-            }
-            fresh.append(record)
-            self.decisions.append(record)
-        return fresh
+    def _on_onset(self, link_id: int, estimate: float, now_s: float) -> int:
+        index = super()._on_onset(link_id, estimate, now_s)
+        if self._counters is not None:
+            self._counters["onsets"].inc()
+        if self._tracer.enabled:
+            score = self.last_verdict.score_for(link_id)
+            self._tracer.instant(int(now_s * 1e9), "blame", "onset", {
+                "link": link_id, "loss_estimate": estimate,
+                "votes": score.votes if score else 0.0,
+            })
+        return index
+
+    def _on_clear(self, link_id: int, episode_index: int, estimate: float,
+                  now_s: float) -> None:
+        super()._on_clear(link_id, episode_index, estimate, now_s)
+        if self._counters is not None:
+            self._counters["clears"].inc()
+        if self._tracer.enabled:
+            self._tracer.instant(int(now_s * 1e9), "blame", "clear", {
+                "link": link_id, "loss_estimate": self.loss_estimate(link_id),
+            })
 
     # -- summaries -------------------------------------------------------------
 
     def counts(self) -> Dict[str, int]:
-        base = self.controller.outcome.counts()
-        base.update({
-            "records_seen": self.records_seen,
-            "records_rejected": self.rejected,
-            "reports_flagged": self.flagged_seen,
-            "onsets": self.onsets,
-            "clears": self.clears,
-            "evaluations": self.evaluations,
-            "tracked_links": self.tracked_links(),
-            "open_episodes": len(self._open),
-        })
-        return base
+        return {**super().counts(), "reports_flagged": self.flagged_seen,
+                "evaluations": self.evaluations}
 
     def state_dict(self) -> dict:
-        """A JSON-able snapshot of the arbitration state (GET /state)."""
-        return {
-            "evidence": self.evidence,
-            "counts": self.counts(),
-            "shard_sizes": self.shard_sizes(),
-            "corrupting": [
-                {"link_id": link_id, "loss_estimate": loss}
-                for link_id, loss in self.corrupting_links()
-            ],
-            "lg_active": self.controller.lg_active_links(),
-            "exposed": self.controller.exposed_links(),
-            "last_record_s": self.last_record_s,
-            "last_verdict": (self.last_verdict.to_dict()
-                             if self.last_verdict is not None else None),
-        }
+        verdict = self.last_verdict
+        return {**super().state_dict(), "last_verdict": (
+            verdict.to_dict() if verdict is not None else None)}
 
 
 # ---------------------------------------------------------------------------

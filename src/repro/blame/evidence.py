@@ -149,18 +149,27 @@ def parse_flow_report(data: Dict[str, Any]) -> FlowReport:
     """Build a :class:`FlowReport` from its ``to_dict`` form; raises
     ``ValueError`` on a mis-shaped document."""
     try:
-        src = data["src"]
-        dst = data["dst"]
-        return FlowReport(
+        src, dst, path = (_int_list(data[key])
+                          for key in ("src", "dst", "path"))
+        report = FlowReport(
             time_s=float(data["t"]),
             flow_id=int(data["flow"]),
-            src_pod=int(src[0]), src_tor=int(src[1]),
-            dst_pod=int(dst[0]), dst_tor=int(dst[1]),
-            path=tuple(int(link) for link in data["path"]),
+            src_pod=src[0], src_tor=src[1],
+            dst_pod=dst[0], dst_tor=dst[1],
+            path=path,
             retx=bool(data["retx"]),
         )
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, OverflowError) as exc:
         raise ValueError(f"mis-shaped flow report: {exc}") from None
+    if not math.isfinite(report.time_s):
+        raise ValueError("flow report time must be finite")
+    return report
+
+
+def _int_list(value: Any) -> Tuple[int, ...]:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of ints, got {value!r:.40}")
+    return tuple(int(item) for item in value)
 
 
 class LossOracle:

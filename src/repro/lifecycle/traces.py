@@ -65,8 +65,8 @@ class TraceSpec:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.duration_days <= 0:
-            raise ValueError("duration_days must be positive")
+        if not 0 < self.duration_days < math.inf:
+            raise ValueError("duration_days must be positive and finite")
 
     @property
     def duration_s(self) -> float:
@@ -206,8 +206,12 @@ class LifecycleTrace:
             raise ValueError(
                 f"not a lifecycle trace document (lifecycle_trace tag "
                 f"{version!r}, expected {TRACE_VERSION})")
-        spec = TraceSpec.from_dict(data.get("spec", {}))
-        events = [FailureEvent.from_dict(e) for e in data.get("events", [])]
+        try:
+            spec = TraceSpec.from_dict(data.get("spec", {}))
+            events = [FailureEvent.from_dict(e)
+                      for e in data.get("events", [])]
+        except TypeError as exc:
+            raise ValueError(f"mis-shaped lifecycle trace: {exc}") from None
         if data.get("n_events") != len(events):
             raise ValueError(
                 f"trace header claims {data.get('n_events')} events, "

@@ -6,7 +6,10 @@ over a moving window of frames, and — when the loss rate crosses the
 activation threshold (1e-8, a healthy link's BER floor) — notifies the
 *upstream* switch through a publish-subscribe bus so that LinkGuardian
 is activated on the corrupting link, sized by Equation 2 for the
-measured loss rate.
+measured loss rate; a clear, once the windowed loss is back below the
+threshold, deactivates it.  The threshold step is the single-link,
+sim-time instance of :class:`~repro.monitor.detector.OnsetClearDetector`
+with no hysteresis band.
 
 The bus is an in-process stand-in for the Redis PubSub deployment the
 paper describes; the daemon logic (polling, windowing, thresholding,
@@ -23,6 +26,7 @@ from ..core.engine import Simulator
 from ..linkguardian.protocol import ProtectedLink
 from ..obs.trace import NULL_TRACER
 from ..units import SEC
+from .detector import OnsetClearDetector
 
 __all__ = ["PubSubBus", "Corruptd", "CorruptionNotice", "LossWindow"]
 
@@ -188,7 +192,6 @@ class Corruptd:
         poll_interval_ns: int = 1 * SEC,
         window_frames: int = 100_000_000,
         activation_threshold: float = 1e-8,
-        deactivation: bool = False,
         obs=None,
     ) -> None:
         self.sim = sim
@@ -197,11 +200,15 @@ class Corruptd:
         self.poll_interval_ns = int(poll_interval_ns)
         self.window_frames = int(window_frames)
         self.activation_threshold = float(activation_threshold)
-        self.deactivation = deactivation
         self.channel = f"corruptd:{plink.sender_switch.name}"
         self.notices: List[CorruptionNotice] = []
         self._window = LossWindow(self.window_frames)
-        self._notified = False
+        self._detector = OnsetClearDetector(
+            self.activation_threshold, 1.0,
+            lambda link, loss, now: self._publish(
+                CorruptionNotice(link, loss, now)),
+            lambda link, onset, loss, now: self._publish(
+                CorruptionNotice(link, loss, now, cleared=True)))
         self._running = False
         self.polls = 0
         self._tracer = obs.tracer if obs is not None else NULL_TRACER
@@ -216,7 +223,7 @@ class Corruptd:
         return {
             "polls": self.polls,
             "notices": len(self.notices),
-            "notified": self._notified,
+            "notified": bool(self._detector.open),
             "running": self._running,
             "window_loss_rate": loss if loss is not None else 0.0,
         }
@@ -242,29 +249,20 @@ class Corruptd:
         self._window.observe(counters.frames_rx_all, counters.frames_rx_ok)
         loss = self.window_loss_rate()
         if loss is not None:
-            if loss >= self.activation_threshold and not self._notified:
-                self._notified = True
-                notice = CorruptionNotice(
-                    self.plink.forward_link.name, loss, self.sim.now
-                )
-                self.notices.append(notice)
-                if self._tracer.enabled:
-                    self._tracer.instant(self.sim.now, "corruptd", "corruption_notice", {
-                        "link": notice.link_name, "loss_rate": loss,
-                    })
-                self.bus.publish(self.channel, notice)
-            elif self.deactivation and self._notified and loss < self.activation_threshold:
-                self._notified = False
-                notice = CorruptionNotice(
-                    self.plink.forward_link.name, loss, self.sim.now, cleared=True
-                )
-                self.notices.append(notice)
-                if self._tracer.enabled:
-                    self._tracer.instant(self.sim.now, "corruptd", "corruption_cleared", {
-                        "link": notice.link_name, "loss_rate": loss,
-                    })
-                self.bus.publish(self.channel, notice)
+            self._detector.observe(self.plink.forward_link.name, loss,
+                                   self.sim.now)
         self.sim.schedule(self.poll_interval_ns, self._poll)
+
+    def _publish(self, notice: CorruptionNotice) -> CorruptionNotice:
+        self.notices.append(notice)
+        if self._tracer.enabled:
+            event = ("corruption_cleared" if notice.cleared
+                     else "corruption_notice")
+            self._tracer.instant(self.sim.now, "corruptd", event, {
+                "link": notice.link_name, "loss_rate": notice.loss_rate,
+            })
+        self.bus.publish(self.channel, notice)
+        return notice
 
     # -- activation at the upstream switch --------------------------------------------
 

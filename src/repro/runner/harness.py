@@ -106,7 +106,12 @@ class CellResult:
 
     @classmethod
     def from_json(cls, line: str) -> "CellResult":
+        """Parse a :meth:`to_json` line; ``ValueError`` on anything else
+        (``KeyError`` when a required field is missing)."""
         data = json.loads(line)
+        if not isinstance(data, dict) or not isinstance(
+                data.get("cell_id"), str):
+            raise ValueError("not a cell result object")
         return cls(
             cell_id=data["cell_id"],
             spec=data["spec"],

@@ -18,7 +18,6 @@ ignored.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, Dict, List, Optional
@@ -51,7 +50,7 @@ def load_checkpoint(path: str) -> Dict[str, CellResult]:
                 continue
             try:
                 result = CellResult.from_json(line)
-            except (json.JSONDecodeError, KeyError):
+            except (ValueError, KeyError):
                 continue
             done[result.cell_id] = result
     return done

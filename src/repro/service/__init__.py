@@ -20,7 +20,7 @@ Layers (each its own module, composed by :mod:`repro.service.app`):
 from .app import (
     SNAPSHOT_VERSION, ControlPlaneService, ServiceSnapshot, load_snapshot,
 )
-from .arbiter import LinkState, StreamingArbiter
+from .arbiter import StreamingArbiter
 from .cache import QueryError, WhatIfCache, WhatIfQuery, quantize_loss
 from .config import EXECUTOR_KINDS, TELEMETRY_KINDS, ServiceConfig
 from .telemetry import (
@@ -31,7 +31,7 @@ from .telemetry import (
 __all__ = [
     "ControlPlaneService", "ServiceSnapshot", "load_snapshot",
     "SNAPSHOT_VERSION",
-    "StreamingArbiter", "LinkState",
+    "StreamingArbiter",
     "WhatIfQuery", "WhatIfCache", "QueryError", "quantize_loss",
     "ServiceConfig", "TELEMETRY_KINDS", "EXECUTOR_KINDS",
     "TelemetryRecord", "TelemetryError", "parse_record",

@@ -142,7 +142,7 @@ class ControlPlaneService:
         self.config = config
         self.obs = obs if obs is not None else Observability(tracing=False)
         self.topology = FleetTopology(config.fleet, seed=config.seed)
-        # The two arbiters expose the same surface (observe / counts /
+        # Both arbiters are a ControllerDriver (observe / flush / counts /
         # state_dict / shard_sizes / decisions / .controller); which one
         # runs — and what the ingest stream must carry — is the
         # ``evidence`` knob.
@@ -503,8 +503,7 @@ class ControlPlaneService:
                     "_pump_records", "_pump_lines", "_ingest_consumer"):
                 task.cancel()
         # Evidence at the tail of the stream still reaches a verdict.
-        if isinstance(self.arbiter, BlameMonitor):
-            self.arbiter.flush()
+        self.arbiter.flush()
         # 2. Reject every *queued* (not yet started) query with 503:
         #    cancelling the job future resolves its waiting handler.
         while True:

@@ -7,112 +7,62 @@ neither pass has the luxury of hindsight: records arrive one at a time,
 a link's clear time is unknown at onset, and the controller must commit
 a decision immediately.
 
-Per link, the arbiter keeps a corruptd-style
+The arbiter is the port-counter estimator of a
+:class:`~repro.fleet.driver.ControllerDriver`: per link, a corruptd-style
 :class:`~repro.monitor.corruptd.LossWindow` over the cumulative RX
-counters.  When the windowed loss estimate crosses ``onset_threshold``
-the arbiter opens an episode via
-:meth:`~repro.fleet.controller.FleetController.stream_onset` — the
-policy (disable / activate LG / blocked) runs right there.  The episode
-stays open until the estimate falls below ``onset_threshold *
-clear_hysteresis`` (hysteresis keeps a flapping estimator from
-thrashing the controller), at which point
-:meth:`~repro.fleet.controller.FleetController.stream_clear` closes it
-with the observed clear time and lets the policy's optimizer pass
-retry still-exposed links.
-
-Window state is sharded by pod — the shard map is what a scaled-out
-deployment would partition across ingestion workers, and the per-shard
-sizes are exported as service gauges.
+counters yields one estimate per record for the driver's shared
+:class:`~repro.monitor.detector.OnsetClearDetector`, whose onsets and
+clears open and close controller episodes.  Window state is sharded by
+pod — the shard map is what a scaled-out deployment would partition
+across ingestion workers, and the per-shard sizes are exported as
+service gauges.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List
 
-from ..fleet.controller import POLICIES, ControllerConfig, FleetController
-from ..fleet.topology import CorruptionEpisode, FleetTopology
+from ..fleet.controller import ControllerConfig
+from ..fleet.driver import ControllerDriver
+from ..fleet.topology import FleetTopology
 from ..monitor.corruptd import LossWindow
 from .telemetry import TelemetryRecord
 
-__all__ = ["LinkState", "StreamingArbiter"]
+__all__ = ["StreamingArbiter"]
 
 
-class LinkState:
-    """Everything the arbiter tracks for one link."""
-
-    __slots__ = ("window", "episode_index", "loss_estimate", "last_seen_s")
-
-    def __init__(self, window_frames: int) -> None:
-        self.window = LossWindow(window_frames)
-        self.episode_index: Optional[int] = None   # open episode, if any
-        self.loss_estimate: Optional[float] = None
-        self.last_seen_s: float = 0.0
-
-    @property
-    def corrupting(self) -> bool:
-        return self.episode_index is not None
-
-
-class StreamingArbiter:
+class StreamingArbiter(ControllerDriver):
     """Drives a :class:`FleetController` from a live counter stream."""
 
-    #: evidence source stamped on every decision record, so operators
-    #: can tell which signal (oracle counters vs 007 voting) drove an
-    #: activation — the :class:`~repro.blame.adapter.BlameMonitor`
-    #: stamps ``"voting"`` on the same record shape
+    #: stamped on every decision record; the
+    #: :class:`~repro.blame.adapter.BlameMonitor` stamps ``"voting"``
     evidence = "port_counters"
 
     def __init__(self, topology: FleetTopology, config: ControllerConfig,
                  policy: str = "incremental", *,
-                 window_frames: int = 10_000_000,
-                 onset_threshold: float = 1e-6,
-                 clear_hysteresis: float = 0.1,
-                 decision_log: int = 1024,
-                 mean_burst: float = 1.0,
-                 obs=None) -> None:
-        self.topology = topology
-        self.controller = FleetController(
-            topology, config, POLICIES[policy](), obs=obs)
+                 window_frames: int = 10_000_000, **driver_kwargs) -> None:
+        super().__init__(topology, config, policy, **driver_kwargs)
         self.window_frames = int(window_frames)
-        self.onset_threshold = float(onset_threshold)
-        self.clear_threshold = float(onset_threshold) * float(clear_hysteresis)
-        self.mean_burst = float(mean_burst)
-        #: pod -> link_id -> LinkState; the shard map
-        self.shards: Dict[int, Dict[int, LinkState]] = {}
-        self.decisions: Deque[dict] = deque(maxlen=int(decision_log))
-        self._decision_cursor = 0
-        self.records_seen = 0
-        self.onsets = 0
-        self.clears = 0
-        self.rejected = 0
-        self.last_record_s = 0.0
+        #: pod -> link_id -> LossWindow; the shard map
+        self.shards: Dict[int, Dict[int, LossWindow]] = {}
 
     # -- state access ---------------------------------------------------------
 
-    def link_state(self, link_id: int) -> LinkState:
-        pod = self.topology.link(link_id).pod
-        shard = self.shards.setdefault(pod, {})
-        state = shard.get(link_id)
-        if state is None:
-            state = LinkState(self.window_frames)
-            shard[link_id] = state
-        return state
+    def window(self, link_id: int) -> LossWindow:
+        shard = self.shards.setdefault(self.topology.link(link_id).pod, {})
+        window = shard.get(link_id)
+        if window is None:
+            window = shard[link_id] = LossWindow(self.window_frames)
+        return window
+
+    def loss_estimate(self, link_id: int) -> float:
+        return self.window(link_id).loss_rate() or 0.0
 
     def tracked_links(self) -> int:
         return sum(len(shard) for shard in self.shards.values())
 
     def shard_sizes(self) -> Dict[int, int]:
         return {pod: len(shard) for pod, shard in sorted(self.shards.items())}
-
-    def corrupting_links(self) -> List[Tuple[int, float]]:
-        out = []
-        for shard in self.shards.values():
-            for link_id, state in shard.items():
-                if state.corrupting:
-                    out.append((link_id, state.loss_estimate or 0.0))
-        return sorted(out)
 
     # -- the streaming transition function ------------------------------------
 
@@ -123,74 +73,11 @@ class StreamingArbiter:
             return []
         self.records_seen += 1
         self.last_record_s = record.time_s
-        state = self.link_state(record.link_id)
-        state.window.observe(record.rx_all, record.rx_ok)
-        state.last_seen_s = record.time_s
-        loss = state.window.loss_rate()
-        state.loss_estimate = loss
+        window = self.window(record.link_id)
+        window.observe(record.rx_all, record.rx_ok)
+        loss = window.loss_rate()
         if loss is None:
             return []
-        if state.episode_index is None and loss >= self.onset_threshold:
-            episode = CorruptionEpisode(
-                link_id=record.link_id,
-                onset_s=record.time_s,
-                clear_s=math.inf,
-                loss_rate=loss,
-                mean_burst=self.mean_burst,
-            )
-            state.episode_index = self.controller.stream_onset(episode)
-            self.onsets += 1
-        elif state.episode_index is not None and loss < self.clear_threshold:
-            self.controller.stream_clear(state.episode_index, record.time_s)
-            state.episode_index = None
-            self.clears += 1
-        return self._drain_decisions()
-
-    def _drain_decisions(self) -> List[dict]:
-        """New controller decisions since the last drain, as dicts."""
-        fresh = []
-        log = self.controller.outcome.decisions
-        while self._decision_cursor < len(log):
-            decision = log[self._decision_cursor]
-            self._decision_cursor += 1
-            record = {
-                "time_s": decision.time_s,
-                "link_id": decision.link_id,
-                "action": decision.action,
-                "loss_rate": decision.loss_rate,
-                "evidence": self.evidence,
-            }
-            fresh.append(record)
-            self.decisions.append(record)
-        return fresh
-
-    # -- summaries ------------------------------------------------------------
-
-    def counts(self) -> Dict[str, int]:
-        base = self.controller.outcome.counts()
-        base.update({
-            "records_seen": self.records_seen,
-            "records_rejected": self.rejected,
-            "onsets": self.onsets,
-            "clears": self.clears,
-            "tracked_links": self.tracked_links(),
-            "open_episodes": sum(
-                1 for shard in self.shards.values()
-                for state in shard.values() if state.corrupting),
-        })
-        return base
-
-    def state_dict(self) -> dict:
-        """A JSON-able snapshot of the arbitration state (GET /state)."""
-        return {
-            "evidence": self.evidence,
-            "counts": self.counts(),
-            "shard_sizes": self.shard_sizes(),
-            "corrupting": [
-                {"link_id": link_id, "loss_estimate": loss}
-                for link_id, loss in self.corrupting_links()
-            ],
-            "lg_active": self.controller.lg_active_links(),
-            "exposed": self.controller.exposed_links(),
-            "last_record_s": self.last_record_s,
-        }
+        if self.detector.observe(record.link_id, loss, record.time_s):
+            return self._drain_decisions()
+        return []

@@ -105,7 +105,11 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise HttpError(400, f"malformed request line: {lines[0][:80]!r}")
     method, target = parts[0].upper(), parts[1]
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError:
+        raise HttpError(
+            400, f"malformed request target: {target[:80]!r}") from None
     query = {key: value for key, value in parse_qsl(split.query)}
     headers: Dict[str, str] = {}
     for line in lines[1:]:

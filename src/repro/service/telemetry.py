@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from dataclasses import dataclass
 from typing import AsyncIterator, Dict, Iterator, List, Tuple
 
@@ -89,8 +90,10 @@ def parse_record(line: str) -> TelemetryRecord:
             rx_all=int(data["rx_all"]),
             rx_ok=int(data["rx_ok"]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise TelemetryError(f"non-numeric counter field: {exc}") from None
+    if not math.isfinite(record.time_s):
+        raise TelemetryError("timestamp must be finite")
     if record.link_id < 0 or record.rx_all < 0 or record.rx_ok < 0:
         raise TelemetryError("counters and link id must be non-negative")
     if record.rx_ok > record.rx_all:

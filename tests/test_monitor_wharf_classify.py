@@ -56,6 +56,17 @@ class TestCorruptd:
         # Once active, deliveries resume in order and losses are masked.
         assert stats["timeouts"] <= stats["loss_events"] * 0.05
 
+    def test_healed_link_publishes_clear_and_deactivates_lg(self):
+        testbed, daemon, bus = self._monitored_testbed(loss_rate=5e-3)
+        testbed.inject(30_000, spacing_ns=1_000)
+        testbed.sim.run(until=10 * MS)
+        assert testbed.plink.active
+        testbed.plink.forward_link.set_loss(None)
+        testbed.sim.run(until=40 * MS)
+        assert [notice.cleared for notice in daemon.notices] == [False, True]
+        assert daemon.notices[1].loss_rate < daemon.activation_threshold
+        assert not testbed.plink.active
+
     def test_window_loss_rate_none_without_samples(self):
         testbed, daemon, bus = self._monitored_testbed(loss_rate=0.0)
         assert daemon.window_loss_rate() is None

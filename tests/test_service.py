@@ -129,7 +129,7 @@ class TestStreamingArbiter:
         decisions = self._feed(arbiter, 3, 60.0, 1000, 10)
         assert arbiter.onsets == 1
         assert decisions and decisions[0]["link_id"] == 3
-        assert arbiter.link_state(3).corrupting
+        assert 3 in arbiter.detector.open
         # The 3000-frame window still spans the lossy tick: the decayed
         # estimate (10/2000 = 5e-3) stays above clear = 1e-4.
         self._feed(arbiter, 3, 120.0, 1000, 0)
@@ -141,7 +141,7 @@ class TestStreamingArbiter:
             if arbiter.clears:
                 break
         assert arbiter.clears == 1
-        assert not arbiter.link_state(3).corrupting
+        assert 3 not in arbiter.detector.open
 
     def test_decisions_reach_controller_and_log(self):
         arbiter = self._arbiter()
